@@ -7,7 +7,7 @@ probably) harms nobody.  The paper discusses the spectrum:
 * **conservative backfilling** — every job is placed at the earliest time
   that does not delay *any previously scheduled* job.  Offline this is a
   single pass over the queue placing each job with
-  :meth:`~repro.core.profile.ResourceProfile.earliest_fit`;
+  :meth:`~repro.core.profiles.ResourceProfile.earliest_fit`;
 * **EASY backfilling** — only the queue *head* gets a guaranteed
   reservation; any other ready job may start now if it does not push the
   head's reserved start back;

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional
 
 from ..core.bounds import lower_bound
 from ..core.instance import ReservationInstance, as_reservation_instance
-from ..core.profile import ResourceProfile
+from ..core.profiles import ResourceProfile
 from ..core.schedule import Schedule
 from ..errors import SchedulingError, SearchBudgetExceeded
 from .base import Scheduler, register
@@ -228,7 +228,7 @@ def optimal_makespan_m1(instance, profile_backend=None):
     ``mask`` processed in some order around the reservation holes.  The
     exchange argument is immediate on one machine: finishing a prefix set
     earlier never hurts the next placement because
-    :meth:`~repro.core.profile.ResourceProfile.earliest_fit` is monotone
+    :meth:`~repro.core.profiles.ResourceProfile.earliest_fit` is monotone
     in its ``after`` argument.
 
     This is the verifier for the Theorem 1 reduction (Figure 1), where

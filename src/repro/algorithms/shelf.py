@@ -8,7 +8,7 @@ processing time inside.  Shelf algorithms come from strip packing
 (NFDH/FFDH); for rigid jobs without reservations FFDH-style shelving is a
 classical 3-approximation-grade heuristic, and it extends naturally to
 reservations by placing each closed shelf as one rigid block with
-:meth:`~repro.core.profile.ResourceProfile.earliest_fit`.
+:meth:`~repro.core.profiles.ResourceProfile.earliest_fit`.
 
 Two variants:
 

@@ -59,7 +59,7 @@ def pmax_bound(instance, profile_backend=None):
     Without reservations this is the appendix's ``C*max >= pmax``.  With
     reservations a job may be unable to start at 0 (not enough free
     processors), so its solo earliest completion — computed with
-    :meth:`~repro.core.profile.ResourceProfile.earliest_fit` on the
+    :meth:`~repro.core.profiles.ResourceProfile.earliest_fit` on the
     reservation-only profile — is a valid, stronger bound.
     """
     inst = as_reservation_instance(instance)

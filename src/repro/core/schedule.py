@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import InfeasibleScheduleError, InvalidInstanceError
 from .instance import ReservationInstance, as_reservation_instance
 from .job import Job
-from .profile import ResourceProfile
+from .profiles import ResourceProfile
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class Schedule:
 
         Usage is constant between consecutive event points, so sampling at
         each event time fully determines the function
-        (:class:`~repro.core.profile.ResourceProfile` merges equal
+        (:class:`~repro.core.profiles.ResourceProfile` merges equal
         neighbouring segments).
         """
         events = self.event_times()  # sorted, always contains 0

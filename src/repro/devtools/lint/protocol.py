@@ -2,8 +2,8 @@
 
 The three profile backends must stay method-for-method aligned with the
 :class:`~repro.core.profiles.base.ProfileBackend` protocol as it grows
-(``try_reserve``, ``fits_many_at`` and ``try_reserve_many`` each landed
-in separate PRs; drift was previously caught by hand).  This checker
+(``max_capacity_between`` and ``try_reserve`` landed in separate PRs;
+drift was previously caught by hand).  This checker
 compares the *ASTs* of the protocol class and each backend class:
 
 * **RPL301** — a protocol *primitive* (base body is just ``raise

@@ -30,8 +30,8 @@ checkpoints are byte-identical whichever driver is in front.
 
 Embedders should program against this class (re-exported as
 ``repro.simulation.SchedulerCore``) rather than reaching into
-``ReplayEngine._run_fused``/``_run_batched``/``_run_generic``; those
-fused twins are engine internals, deprecated as extension points and
+``ReplayEngine._run_fused``/``_run_generic``; those engine loops are
+internals, deprecated as extension points and
 guarded by the ``RPL503`` lint rule.
 
 State beyond the :class:`~repro.simulation.replay.ReplayCheckpoint`
@@ -75,8 +75,8 @@ class SchedulerCore:
 
     Parameters mirror :class:`~repro.simulation.replay.ReplayEngine`
     (same names, same validation, same defaults) minus the dispatch
-    knobs (``fused_policies``/``batch``) that select between engine
-    loops — the core *is* the reference loop.
+    knob (``fused_policies``) that selects between engine loops — the
+    core *is* the reference loop.
 
     ``decide`` optionally injects the policy function directly (an
     embedding convenience, and how the engine pins the function it
@@ -84,7 +84,8 @@ class SchedulerCore:
     :data:`~repro.simulation.online_sim.POLICIES`.
 
     ``resume`` rehydrates a :class:`ReplayCheckpoint` — the calendar
-    completion queue is required then, as for epoch-sharded replay.
+    completion queue is required then, as for every checkpointed replay
+    (``ReplayEngine.run_slice``).
     """
 
     def __init__(
@@ -118,7 +119,7 @@ class SchedulerCore:
             )
         if resume is not None and completion_queue != "calendar":
             raise SchedulingError(
-                "epoch-sharded replay requires completion_queue='calendar'"
+                "resumed replay (resume=) requires completion_queue='calendar'"
             )
         if resume is not None and (resume.m, resume.policy, resume.window) != (
             m, policy, window
@@ -412,11 +413,13 @@ class SchedulerCore:
 
     # -- snapshots ---------------------------------------------------------
     def checkpoint(self) -> ReplayCheckpoint:
-        """Frontier state as a :class:`ReplayCheckpoint` (the epoch-relay
-        and journal-snapshot format; calendar queue only)."""
+        """Frontier state as a :class:`ReplayCheckpoint` (the
+        ``run_slice`` resume and journal-snapshot format; calendar queue
+        only)."""
         if self.use_heap:
             raise SchedulingError(
-                "epoch-sharded replay requires completion_queue='calendar'"
+                "checkpointed replay (run_slice with drain=False) requires "
+                "completion_queue='calendar'"
             )
         times_l, caps_l = self.state.profile.as_lists()
         return ReplayCheckpoint(

@@ -145,3 +145,41 @@ def random_resa(seed: int, n=None, m=None, n_res=None) -> ReservationInstance:
         m=m, jobs=tuple(jobs), reservations=tuple(reservations),
         name=f"randres{seed}",
     )
+
+
+# ---------------------------------------------------------------------------
+# checkpointed replay: in-process run_slice chains
+# ---------------------------------------------------------------------------
+
+def chained_replay(m, jobs, interval, handoff=None, **engine_kwargs):
+    """Replay ``jobs`` as a chain of ``ReplayEngine.run_slice`` calls.
+
+    The stream is cut exactly where journaled replay cuts it (the
+    journal's own ``_chunk_stream``, ``interval`` jobs per chunk, cuts
+    pushed past release-time ties); every slice runs on a *fresh*
+    engine resumed from its predecessor's checkpoint, and the last one
+    drains.  Returns the final slice's result with every slice's window
+    rows and recorded starts stitched in, so it compares directly with a
+    serial ``ReplayEngine(m, ...).run(jobs)``.  ``handoff`` optionally
+    maps each checkpoint before the next slice resumes from it (e.g. a
+    pickle round trip, as a journal snapshot does).
+    """
+    from repro.durability.journaled import _chunk_stream
+    from repro.simulation.replay import ReplayEngine
+
+    windows = []
+    starts = {} if engine_kwargs.get("record_starts") else None
+    resume = None
+    for chunk, final in _chunk_stream(jobs, interval):
+        result = ReplayEngine(m, **engine_kwargs).run_slice(
+            chunk, resume=resume, drain=final
+        )
+        windows.extend(result.windows)
+        if starts is not None:
+            starts.update(result.starts)
+        resume = result.checkpoint
+        if handoff is not None and resume is not None:
+            resume = handoff(resume)
+    result.windows = windows
+    result.starts = starts
+    return result

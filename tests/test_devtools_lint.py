@@ -47,7 +47,7 @@ backends = [
     "src/repro/core/profiles/array_backend.py::ArrayProfile",
 ]
 [tool.repro-lint.protocol.require-override]
-"src/repro/core/profiles/array_backend.py::ArrayProfile" = ["fits_many_at"]
+"src/repro/core/profiles/array_backend.py::ArrayProfile" = ["try_reserve"]
 """
 
 
@@ -298,7 +298,7 @@ def test_protocol_copies_are_aligned(profile_copy):
 
 def test_deleting_required_override_fires_rpl304(profile_copy):
     array = profile_copy / "src/repro/core/profiles/array_backend.py"
-    _delete_method(array, "ArrayProfile", "fits_many_at")
+    _delete_method(array, "ArrayProfile", "try_reserve")
     assert "RPL304" in codes(run_lint([profile_copy / "src"]))
 
 

@@ -665,3 +665,37 @@ class TestArrayIntOnly:
         p.reserve(True, 2, 1)  # bools are Integral: coerced, not rejected
         assert p.capacity_at(1) == 2
         assert p.capacity_at(0) == 3
+
+    def test_scalar_fallback_equals_numpy_on_wide_windows(self, monkeypatch):
+        """Without numpy the wide-window ``min_capacity`` /
+        ``max_capacity_between`` scans fall back to the stdlib loop and
+        must return exactly the vectorised answers."""
+        from repro.core.profiles import array_backend
+
+        if array_backend._np is None:
+            pytest.skip("numpy is not importable: no vectorised answer")
+        width = array_backend._VECTOR_MIN_SEGMENTS
+        rng = random.Random(64)
+        n = 4 * width
+        p = ArrayProfile(
+            list(range(0, 3 * n, 3)), [rng.randint(0, 50) for _ in range(n)]
+        )
+        windows = [(0, 3 * n), (1, 3 * width + 1), (7, 3 * n + 40)]
+        windows += [
+            (s, s + 3 * rng.randint(width, n))
+            for s in (rng.randrange(0, 3 * n) for _ in range(40))
+        ]
+        for start, end in windows:
+            assert end // 3 - start // 3 >= width  # the vectorised regime
+        vector = [
+            (p.min_capacity(s, e), p.max_capacity_between(s, e),
+             p.max_capacity_between(s))
+            for s, e in windows
+        ]
+        monkeypatch.setattr(array_backend, "_np", None)
+        scalar = [
+            (p.min_capacity(s, e), p.max_capacity_between(s, e),
+             p.max_capacity_between(s))
+            for s, e in windows
+        ]
+        assert scalar == vector

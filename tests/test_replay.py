@@ -8,7 +8,8 @@ profile backends and plain/gzip trace files.  A hypothesis property test
 pins that down on random traces; the unit tests cover the streaming
 reader's edge behaviour, ``prune_before`` soundness on both backends,
 the synthetic scenario pack, window metrics, the spec ``traces`` factor
-and the ``repro replay`` CLI.
+the ``repro replay`` CLI, and checkpointed replay: a stream chained
+through ``run_slice`` checkpoints equals one serial run.
 """
 
 import gzip
@@ -20,7 +21,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cli import main
+from conftest import chained_replay
+from repro.cli import _warn_demotion, main
+from repro.core.job import Job
 from repro.core.metrics import summarize
 from repro.core.profiles import ArrayProfile, ListProfile, TreeProfile
 from repro.errors import SchedulingError, TraceFormatError
@@ -419,8 +422,6 @@ class TestReplayEngine:
         assert result.starts is None
 
     def test_impossible_job_raises(self):
-        from repro.core.job import Job
-
         with pytest.raises(SchedulingError, match="processors"):
             replay([Job(id=1, p=5, q=99, release=0)], 8)
 
@@ -432,9 +433,20 @@ class TestReplayEngine:
         assert result.totals["n_jobs"] == 30
         assert result.totals["skipped_lines"] == 0
 
+    def test_replay_swf_block_pull_is_invisible(self, tmp_path, monkeypatch):
+        """replay_swf pulls the SWF stream in blocks; cutting them small
+        (boundaries inside tied releases included) changes nothing."""
+        import importlib
 
-# ---------------------------------------------------------------------------
-# the property test: chunked streaming == whole-file, byte for byte
+        replay_mod = importlib.import_module("repro.simulation.replay")
+        path = tmp_path / "t.swf"
+        save_swf_trace(path, synth_swf_jobs("bursty", 400, m=16, seed=2), 16)
+        reference = replay(list(iter_swf(path)), 16, window=50,
+                           record_starts=True)
+        monkeypatch.setattr(replay_mod, "_SWF_BLOCK_JOBS", 7)
+        blocked = replay_swf(path, window=50, record_starts=True)
+        assert blocked.starts == reference.starts
+        assert blocked.windows == reference.windows
 # ---------------------------------------------------------------------------
 
 _job_rows = st.lists(
@@ -629,6 +641,37 @@ class TestReplayCLI:
     def test_missing_file_errors(self, capsys):
         assert main(["replay", "/no/such/trace.swf"]) == 1
 
+    def test_single_policy_jobs_is_usage_error(self, capsys):
+        """--jobs parallelises across policies only: with one policy
+        it is a usage error that points at the multi-policy form."""
+        assert main([
+            "replay", "synth:steady:200", "-p", "easy", "--jobs", "2",
+        ]) == 2
+        assert "-p a,b,c" in capsys.readouterr().err
+
+    def test_batch_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "synth:steady:200", "-p", "easy", "--batch"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_list_backends_reports_vector_path(self, capsys):
+        assert main(["list", "--kind", "backends"]) == 0
+        out = capsys.readouterr().out
+        assert "array" in out
+        assert "vectorized" in out
+
+    def test_demotion_warning_is_printed(self, capsys):
+        _warn_demotion("easy", {
+            "demoted_to_list_at": {"job": "j42", "release": 7.5},
+        })
+        err = capsys.readouterr().err
+        assert "'j42'" in err and "7.5" in err and "demoted" in err
+
+    def test_no_demotion_no_warning(self, capsys):
+        _warn_demotion("easy", {"n_jobs": 3})
+        assert capsys.readouterr().err == ""
+
 
 # ---------------------------------------------------------------------------
 # engine configurations: fused vs generic, calendar vs heap, auto demotion
@@ -675,8 +718,6 @@ class TestEngineConfigurations:
         """A non-integral trace under the default auto backend demotes
         the live profile to the list backend mid-stream and still
         reproduces the in-memory engine exactly."""
-        from repro.core.job import Job
-
         jobs = [
             Job(id=1, p=10, q=4, release=0),
             Job(id=2, p=7.5, q=6, release=2.25),   # first non-int job
@@ -692,12 +733,94 @@ class TestEngineConfigurations:
         assert streamed.starts == reference.schedule.starts
 
     def test_explicit_array_backend_is_loud_on_float_times(self):
-        from repro.core.job import Job
         from repro.errors import InvalidInstanceError
 
         jobs = [Job(id=1, p=1.5, q=2, release=0)]
         with pytest.raises(InvalidInstanceError, match="integer"):
             replay(jobs, 4, policy="easy", profile_backend="array")
+
+
+# ---------------------------------------------------------------------------
+# checkpointed replay: chained run_slice == serial
+# ---------------------------------------------------------------------------
+
+#: wall-clock fields that legitimately differ between identical runs
+_VOLATILE = {"elapsed_seconds"}
+
+
+def _trim(result):
+    totals = {k: v for k, v in result.totals.items() if k not in _VOLATILE}
+    return totals, result.windows, result.starts
+
+
+_trace_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),    # submit gap (0 => ties)
+        st.integers(min_value=1, max_value=40),   # runtime
+        st.integers(min_value=1, max_value=16),   # processors
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _jobs_from_rows(rows, m):
+    """(gap, runtime, procs) tuples -> released Job list."""
+    jobs = []
+    t = 0
+    for i, (gap, p, q) in enumerate(rows):
+        t += gap
+        jobs.append(Job.trusted(i, p, min(q, m), t))
+    return jobs
+
+
+class TestCheckpointedReplay:
+    @given(
+        rows=_trace_rows,
+        policy=st.sampled_from(["fcfs", "greedy", "easy"]),
+        interval=st.sampled_from([2, 5, 11]),
+        backend=st.sampled_from(["auto", "list"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chained_slices_equal_serial(self, rows, policy, interval,
+                                         backend):
+        """Chaining ``run_slice`` through checkpoints, cut where the
+        journal cuts, reproduces the serial run exactly — totals,
+        window-aggregate rows and every recorded start."""
+        m = 16
+        jobs = _jobs_from_rows(rows, m)
+        kwargs = dict(policy=policy, window=7, record_starts=True,
+                      profile_backend=backend)
+        serial = ReplayEngine(m, **kwargs).run(jobs)
+        chained = chained_replay(m, jobs, interval, **kwargs)
+        assert _trim(chained) == _trim(serial)
+
+    def test_demotion_record_crosses_checkpoints(self):
+        """A demotion in the first slice rides the checkpoint: the
+        final totals carry the original offending job, and the schedule
+        is the serial one."""
+        jobs = [Job(i, 4, 2, i) for i in range(8)]
+        jobs[1] = Job(1, 4, 2, 0.5)
+        with pytest.warns(RuntimeWarning, match="demoted"):
+            serial = ReplayEngine(8, record_starts=True).run(jobs)
+        with pytest.warns(RuntimeWarning, match="demoted"):
+            chained = chained_replay(8, jobs, 3, record_starts=True)
+        assert _trim(chained) == _trim(serial)
+        assert chained.totals["demoted_to_list_at"] == \
+            {"job": 1, "release": 0.5}
+
+    def test_checkpoint_config_mismatch_is_loud(self):
+        jobs = [Job.trusted(i, 3, 2, i) for i in range(6)]
+        first = ReplayEngine(8).run_slice(jobs[:3], drain=False)
+        other = ReplayEngine(8, policy="fcfs")
+        with pytest.raises(SchedulingError):
+            other.run_slice(jobs[3:], resume=first.checkpoint)
+
+    def test_heap_queue_refuses_checkpointing(self):
+        jobs = [Job.trusted(i, 3, 2, i) for i in range(6)]
+        heap = ReplayEngine(8, completion_queue="heap")
+        with pytest.raises(SchedulingError, match="run_slice"):
+            heap.run_slice(jobs, drain=False)
 
 
 # ---------------------------------------------------------------------------
